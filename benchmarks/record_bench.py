@@ -521,27 +521,22 @@ def main() -> int:
     print(f"wrote {OUT}")
 
     ok = hotpath["speedup"] >= 1.5 and hotpath["max_abs_dVm"] < 1e-10
-    if not ok:
-        print("ACCEPTANCE FAILED: speedup < 1.5x or parity worse than 1e-10")
-    if not scaleout_ok:
-        print(f"ACCEPTANCE FAILED: {scaleout_msg}")
-    if not fastpath_ok:
-        print(f"ACCEPTANCE FAILED: {fastpath_msg}")
-    if not obs_ok:
-        print(f"ACCEPTANCE FAILED: {obs_msg}")
-    if not health_ok:
-        print(f"ACCEPTANCE FAILED: {health_msg}")
-    if not fault_ok:
-        print(f"ACCEPTANCE FAILED: {fault_msg}")
-    if not batch_ok:
-        print(f"ACCEPTANCE FAILED: {batch_msg}")
-    if not cond_ok:
-        print(f"ACCEPTANCE FAILED: {cond_msg}")
-    if not serving_ok:
-        print(f"ACCEPTANCE FAILED: {serving_msg}")
-    all_ok = (ok and scaleout_ok and fastpath_ok and obs_ok and health_ok
-              and fault_ok and batch_ok and cond_ok and serving_ok)
-    return 0 if all_ok else 1
+    gates = [
+        (ok, "speedup < 1.5x or parity worse than 1e-10"),
+        (scaleout_ok, scaleout_msg),
+        (fastpath_ok, fastpath_msg),
+        (obs_ok, obs_msg),
+        (health_ok, health_msg),
+        (fault_ok, fault_msg),
+        (batch_ok, batch_msg),
+        (cond_ok, cond_msg),
+        (serving_ok, serving_msg),
+        (recovery_ok, recovery_msg),
+    ]
+    for gate_ok, msg in gates:
+        if not gate_ok:
+            print(f"ACCEPTANCE FAILED: {msg}")
+    return 0 if all(gate_ok for gate_ok, _ in gates) else 1
 
 
 if __name__ == "__main__":

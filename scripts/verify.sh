@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 test suite + quickstart smoke run.
 #
-#   scripts/verify.sh            # full tier-1 pytest + quickstart example
+#   scripts/verify.sh            # tier-1 + benchmark self-tests + smoke examples
 #   scripts/verify.sh --fast     # quickstart smoke only
 #
 # Mirrors the tier-1 gate in ROADMAP.md; run it before every commit.
@@ -13,6 +13,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== tier-1 test suite =="
     python -m pytest -x -q
+
+    echo "== benchmark self-tests (every workload on IEEE-14, live == in-process) =="
+    python3 -m pytest perfbench -q
 fi
 
 echo "== metric-name taxonomy lint =="

@@ -31,6 +31,7 @@ from ..cluster.recovery import (
 )
 from ..dse.algorithm import DistributedStateEstimator
 from ..dse.decomposition import Decomposition
+from ..dse.pseudo import pseudo_measurements
 from ..estimation.wls import WlsEstimator
 from ..measurements.types import MeasurementSet
 from ..middleware.errors import ClientClosed, MiddlewareError
@@ -80,33 +81,6 @@ class LiveSiteStats:
             del self.degraded_rounds[
                 : len(self.degraded_rounds) - DEGRADED_ROUNDS_RETAINED
             ]
-
-
-class _HostedSub:
-    """Mutable Step-2 state for one subsystem hosted on a site thread
-    (recovery mode hosts can carry more than their own after failover)."""
-
-    __slots__ = ("s", "vm_loc", "va_loc", "prev2", "lin0")
-
-    def __init__(self, s: int):
-        self.s = s
-        self.vm_loc: dict[int, float] = {}
-        self.va_loc: dict[int, float] = {}
-        self.prev2: tuple | None = None  # (Vm, Va) over the extended net
-        self.lin0: tuple | None = None  # condensation linearisation point
-
-    @classmethod
-    def from_checkpoint(cls, ck: SubsystemCheckpoint) -> "_HostedSub":
-        w = cls(ck.subsystem)
-        w.vm_loc = {int(b): float(v) for b, v in zip(ck.own_ids, ck.own_vm)}
-        w.va_loc = {int(b): float(v) for b, v in zip(ck.own_ids, ck.own_va)}
-        if ck.warm_vm is not None:
-            w.prev2 = (ck.warm_vm, ck.warm_va)
-        if ck.lin_vm is not None:
-            # float64 state round-trips the wire bit-exactly, so this hits
-            # the donor's factorisation cache — no re-condensation
-            w.lin0 = (ck.lin_vm, ck.lin_va)
-        return w
 
 
 @dataclass
@@ -164,11 +138,6 @@ class LiveDseRuntime:
         liveness under hard faults is bounded by ``rounds x deadline``
         instead of ``rounds x neighbours x recv_timeout``.  ``None``
         (default) keeps the per-message-timeout-only behaviour.
-    use_cache:
-        Reuse each site's estimators (cached Jacobian patterns,
-        factorization orderings, merged pseudo structures) across Step-2
-        rounds; rounds where a neighbour timed out fall back to a freshly
-        built estimator over the partial pseudo set.
     fast:
         Use the fabric's multiplexed fast path (single router hub, pooled
         duplex links, batched neighbour sends) instead of one relay
@@ -181,8 +150,7 @@ class LiveDseRuntime:
         compact per-neighbour boundary blocks
         (:func:`~repro.middleware.message.pack_condensed_update`) — bus
         ids ride only the round-0 frames, later rounds are values-only
-        over the receiver's a-priori ordering.  Requires
-        ``use_cache=True``.
+        over the receiver's a-priori ordering.
     recovery:
         Self-healing mode (a :class:`~repro.cluster.recovery.RecoveryConfig`;
         ``None`` — the default — is bitwise-inert): every round each site
@@ -192,8 +160,12 @@ class LiveDseRuntime:
         rounds is declared lost, its subsystems are promoted onto the
         successors holding their replicas, and the mux hub fences the
         zombie's epoch-stamped frames so it can never corrupt a
-        post-failover round.  Requires ``fast=True`` and
-        ``use_cache=True``.
+        post-failover round.  Requires ``fast=True``.
+
+    Every site reuses the warm per-subsystem estimators of the in-process
+    DSE across rounds and frames; a round that lacks part of its
+    neighbour set solves a freshly built estimator over the boundary
+    values it does know.
     """
 
     def __init__(
@@ -206,28 +178,20 @@ class LiveDseRuntime:
         sensitivity_threshold: float = 0.5,
         recv_timeout: float = 10.0,
         round_deadline: float | None = None,
-        use_cache: bool = True,
         fast: bool = True,
         condense: bool = False,
         recovery: RecoveryConfig | None = None,
     ):
-        if condense and not use_cache:
-            raise ValueError(
-                "condense=True requires use_cache=True (the condensed "
-                "operator lives in the per-site caches)"
-            )
-        if recovery is not None and not (fast and use_cache):
+        if recovery is not None and not fast:
             raise ValueError(
                 "recovery needs fast=True (checkpoint/epoch frames ride "
-                "the mux hub) and use_cache=True (promoted subsystems "
-                "reuse the shared per-site estimator caches)"
+                "the mux hub)"
             )
         # Reuse the in-process DSE's subproblem construction and checks
         # (including its per-subsystem estimator caches).
         self._dse = DistributedStateEstimator(
             dec, mset, solver=solver,
             sensitivity_threshold=sensitivity_threshold,
-            reuse_structures=use_cache,
             condense=condense,
         )
         self.dec = dec
@@ -235,7 +199,6 @@ class LiveDseRuntime:
         self.recv_timeout = recv_timeout
         self.round_deadline = round_deadline
         self.use_tcp = use_tcp
-        self.use_cache = use_cache
         self.fast = fast
         self.condense = condense
         self.recovery = recovery
@@ -253,16 +216,13 @@ class LiveDseRuntime:
         ``z`` optionally overrides the system-wide measured values
         (canonical order of the constructor's ``mset``) — a values-only
         frame over the warm site estimators, mirroring
-        :meth:`repro.dse.algorithm.DistributedStateEstimator.run`; requires
-        ``use_cache=True``.
+        :meth:`repro.dse.algorithm.DistributedStateEstimator.run`.
         """
         dec = self.dec
         net = dec.net
         if rounds is None:
             rounds = max(1, dec.diameter())
         if z is not None:
-            if not self.use_cache:
-                raise ValueError("values-only frames (z=) require use_cache=True")
             z = np.asarray(z, dtype=float)
             if len(z) != len(self._dse.mset):
                 raise ValueError("z override length mismatch")
@@ -296,6 +256,299 @@ class LiveDseRuntime:
             )
 
         watches: dict[int, object] = {}
+        dse = self._dse
+        nbrs = {s: [int(b) for b in dec.neighbors(s)] for s in range(dec.m)}
+
+        def fail(msg: str) -> None:
+            with err_lock:
+                errors.append(msg)
+
+        def sync() -> bool:
+            """Round barrier; ``False`` once a crashed site has broken it."""
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                return False
+            return True
+
+        def _site_body(s: int, fabric: MiddlewareFabric) -> None:
+            me = f"se{s}"
+            st = stats[s]
+            # This site's view of the grid, indexed by global bus: its
+            # hosted subsystems' own state plus every boundary value the
+            # wire has delivered (``known``).
+            pub_vm = np.ones(net.n_bus)
+            pub_va = np.zeros(net.n_bus)
+            known = np.zeros(net.n_bus, dtype=bool)
+            # hosted subsystem -> (previous extended solution, condensation
+            # linearisation point); only ``s`` unless failover adds more
+            hosted: dict[int, tuple] = {s: (None, None)}
+
+            def adopt(ids, vm, va) -> None:
+                pub_vm[ids] = vm
+                pub_va[ids] = va
+                known[ids] = True
+
+            def unpack(raw) -> tuple:
+                if self.condense:
+                    src, _, ids, vms, vas = unpack_condensed_update(raw, copy=False)
+                    if ids is None:
+                        # values-only frame: resolve the bus ids from the
+                        # shared a-priori per-neighbour publication sets
+                        # (recovery never sends one: its receiving host
+                        # can change under failover)
+                        if coord is not None:
+                            raise FrameError(
+                                "values-only condensed frame in recovery mode"
+                            )
+                        ids = dse._nbr_pub[src][s]
+                        if len(ids) != len(vms):
+                            raise FrameError("condensed update length mismatch")
+                else:
+                    ids, vms, vas = unpack_state_update(raw, copy=False)
+                if np.any((ids < 0) | (ids >= net.n_bus)):
+                    raise FrameError("update names a bus outside the grid")
+                return ids, vms, vas
+
+            def exchange(r: int) -> bool:
+                """Publish every hosted subsystem's boundary and absorb the
+                neighbours'; ``True`` when the round ran degraded."""
+                degraded = False
+                round_t1 = (
+                    None
+                    if self.round_deadline is None
+                    else time.monotonic() + self.round_deadline
+                )
+                parts = []
+                for s_ in sorted(hosted):
+                    payload = None
+                    for nb in nbrs[s_]:
+                        dst = f"se{nb}" if coord is None else coord.site_of(nb)
+                        if dst == me:
+                            continue  # co-hosted: its values already live here
+                        if self.condense:
+                            # only the tie-endpoint buses nb's extended
+                            # network reads; values-only after round 0
+                            # unless failover can re-route the frame
+                            ids = dse._nbr_pub[s_][nb]
+                            payload = pack_condensed_update(
+                                s_, ids, pub_vm[ids], pub_va[ids],
+                                values_only=r > 0 and coord is None,
+                            )
+                        elif payload is None:
+                            ids = dse.exchange_sets[s_]
+                            payload = pack_state_update(
+                                ids, pub_vm[ids], pub_va[ids]
+                            )
+                        parts.append((dst, payload))
+                # the whole burst rides one syscall on the fast plane;
+                # sending inside the span stamps the frames with this
+                # trace's context, so the router hop joins the trace
+                try:
+                    fabric.send_many(
+                        me, parts, epoch=None if coord is None else coord.epoch
+                    )
+                    st.bytes_sent += sum(len(p) for _, p in parts)
+                except (MiddlewareError, ConnectionError, OSError) as exc:
+                    # cut off from the fabric: solve on last-known values
+                    fail(f"site {s} round {r}: send failed: {exc!r}")
+                    degraded = True
+
+                for _ in parts:
+                    timeout = self.recv_timeout
+                    if round_t1 is not None:
+                        remaining = round_t1 - time.monotonic()
+                        if remaining <= 0:
+                            fail(f"site {s} round {r}: round deadline exceeded")
+                            return True
+                        timeout = min(timeout, remaining)
+                    try:
+                        raw = fabric.recv(me, timeout=timeout)
+                    except TimeoutError:
+                        fail(f"site {s} round {r}: neighbour update timed out")
+                        degraded = True
+                        continue
+                    except (ClientClosed, MiddlewareError) as exc:
+                        fail(f"site {s} round {r}: recv failed: {exc!r}")
+                        return True
+                    st.bytes_received += len(raw)
+                    st.messages_received += 1
+                    try:
+                        update = unpack(raw)
+                    except (FrameError, ValueError, KeyError) as exc:
+                        # corrupted in flight: this update is lost
+                        fail(f"site {s} round {r}: corrupt update: {exc!r}")
+                        degraded = True
+                        continue
+                    adopt(*update)
+                return degraded
+
+            def solve(s_: int, r: int, snap_vm, snap_va) -> None:
+                subnet2, bmap2, xbuses, ext, ms2 = dse.sub2[s_]
+                prev2, lin0 = hosted[s_]
+                full = bool(known[ext].all())
+                if full:
+                    est2 = dse._step2_cache[s_][0]
+                    z2, x0_vm, x0_va = dse._step2_inputs(
+                        s_, snap_vm, snap_va, prev2, z
+                    )
+                else:
+                    # Partial coverage: a fresh estimator over pseudo
+                    # measurements at the boundary buses heard from; the
+                    # warm start keeps its stale values elsewhere.
+                    ext_known = ext[known[ext]]
+                    idx = bmap2[ext_known]
+                    pseudo = pseudo_measurements(
+                        idx, snap_vm[ext_known], snap_va[ext_known]
+                    )
+                    if z is not None:
+                        ms2 = ms2.with_values(dse._step2_meas_z(s_, z))
+                    est2 = WlsEstimator(
+                        subnet2, ms2.merged_with(pseudo), solver=self.solver
+                    )
+                    z2 = None
+                    if prev2 is None:
+                        x0_vm, x0_va = snap_vm[xbuses], snap_va[xbuses]
+                    else:
+                        x0_vm, x0_va = prev2[0].copy(), prev2[1].copy()
+                        x0_vm[idx] = snap_vm[ext_known]
+                        x0_va[idx] = snap_va[ext_known]
+                if prev2 is None and self.condense:
+                    # the first round starts at the frame's Step-1
+                    # publication: the same history-free linearisation
+                    # point the in-process DSE condenses at
+                    lin0 = (x0_vm.copy(), x0_va.copy())
+                kwargs = {"lin_point": lin0} if full and lin0 is not None else {}
+                t0 = time.perf_counter()
+                with obs.span("live.step2", s=s_, round=r):
+                    res2 = est2.estimate(x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs)
+                st.step2_times.append(time.perf_counter() - t0)
+                hosted[s_] = ((res2.Vm, res2.Va), lin0)
+                scope = dse.exchange_sets[s_]
+                pub_vm[scope] = res2.Vm[bmap2[scope]]
+                pub_va[scope] = res2.Va[bmap2[scope]]
+
+            # ---- recovery hooks (coord is not None) ----
+            def checkpoint(s_: int, r: int) -> SubsystemCheckpoint:
+                own_ids = np.asarray(dse.sub1[s_][2], dtype=np.int64)
+                warm, lin = hosted[s_]
+                return SubsystemCheckpoint(
+                    subsystem=s_, site=s, epoch=coord.epoch, round=r,
+                    own_ids=own_ids,
+                    own_vm=pub_vm[own_ids], own_va=pub_va[own_ids],
+                    warm_vm=None if warm is None else warm[0],
+                    warm_va=None if warm is None else warm[1],
+                    lin_vm=None if lin is None else lin[0],
+                    lin_va=None if lin is None else lin[1],
+                )
+
+            def promote(r: int) -> None:
+                for ck in coord.begin_round(me, r):
+                    # float64 state round-trips the wire bit-exactly, so
+                    # the lin point hits the donor's factorisation cache
+                    hosted[ck.subsystem] = (
+                        None if ck.warm_vm is None else (ck.warm_vm, ck.warm_va),
+                        None if ck.lin_vm is None else (ck.lin_vm, ck.lin_va),
+                    )
+                    adopt(ck.own_ids, ck.own_vm, ck.own_va)
+                    st.promoted_subsystems.append(ck.subsystem)
+                    if obs.health_enabled():
+                        obs.health().site_recovered(
+                            me, subsystem=ck.subsystem, round=r,
+                            checkpoint_round=ck.round,
+                        )
+                # shed subsystems promoted away from us: our lease expired
+                # while we were cut off, and the hub now fences our frames
+                for s_ in [k for k in hosted if not coord.owns(me, k)]:
+                    hosted.pop(s_)
+
+            def heartbeat(r: int) -> None:
+                # to every live peer: checkpoints reach only the ring
+                # successor, so a lease riding on them alone would starve
+                # the moment that successor died
+                hb = heartbeat_payload(s, coord.epoch, r)
+                for peer in names:
+                    if peer == me or coord.is_lost(peer):
+                        continue
+                    try:
+                        fabric.send_checkpoint(me, peer, hb, epoch=coord.epoch)
+                    except (MiddlewareError, ConnectionError, OSError):
+                        pass  # a dead peer's inbox is not our liveness
+
+            def replicate(r: int) -> None:
+                for s_ in sorted(hosted):
+                    succ = coord.successor(s_)
+                    if succ is None or succ == me:
+                        continue
+                    pay = checkpoint(s_, r).to_payload()
+                    try:
+                        fabric.send_checkpoint(me, succ, pay, epoch=coord.epoch)
+                    except (MiddlewareError, ConnectionError, OSError) as exc:
+                        fail(f"site {s} round {r}: checkpoint send failed: {exc!r}")
+                        continue
+                    st.checkpoints_sent += 1
+                    st.checkpoint_bytes += len(pay)
+                    if obs.enabled():
+                        m = obs.metrics()
+                        m.counter("recovery.checkpoints_sent_total").inc()
+                        m.counter("recovery.checkpoint_bytes_total").inc(len(pay))
+
+            # ---- Step 1 ----
+            own = dse.sub1[s][2]
+            t0 = time.perf_counter()
+            with obs.span("live.step1", s=s):
+                z1 = dse._step1_z(s, z) if z is not None else None
+                res1 = dse._est1[s].estimate(tol=tol, z=z1)
+            st.step1_time = time.perf_counter() - t0
+            adopt(own, res1.Vm, res1.Va)
+            if coord is not None:
+                # Bootstrap replica seed (round -1), handed to the
+                # coordinator before the first barrier: a replica exists
+                # before any data frame can kill a site, and before any
+                # ordering race on the hub.
+                succ = coord.successor(s)
+                if succ is not None:
+                    coord.ingest(succ, checkpoint(s, -1).to_payload())
+            if not sync():
+                return
+
+            # ---- Step 2 rounds ----
+            for r in range(rounds):
+                tok = watches.get(s)
+                if tok is not None:
+                    obs.health().beat(tok)
+                if coord is not None:
+                    promote(r)
+                    if not hosted:
+                        # passive zombie: nothing left to solve; keep the
+                        # barrier cadence so the lockstep schedule holds
+                        if not sync():
+                            return
+                        continue
+                    heartbeat(r)
+                with obs.span("live.exchange", s=s, round=r):
+                    degraded = exchange(r)
+                if degraded:
+                    st.record_degraded(r)
+                    if obs.enabled():
+                        obs.metrics().counter("live.degraded_rounds_total").inc()
+                    if obs.health_enabled():
+                        obs.health().frame_degraded(me, round=r)
+                # every hosted subsystem solves against one post-exchange
+                # view, so co-hosted solve order cannot leak into results
+                snap_vm, snap_va = pub_vm.copy(), pub_va.copy()
+                for s_ in sorted(hosted):
+                    solve(s_, r, snap_vm, snap_va)
+                if coord is not None and r % recovery.checkpoint_every == 0:
+                    replicate(r)
+                if not sync():
+                    return
+
+            with result_lock:
+                for s_ in hosted:
+                    own_ = dse.sub1[s_][2]
+                    Vm[own_] = pub_vm[own_]
+                    Va[own_] = pub_va[own_]
 
         def site(s: int, fabric: MiddlewareFabric) -> None:
             if obs.health_enabled():
@@ -313,600 +566,14 @@ class LiveDseRuntime:
                 # site threads start with a fresh contextvars context, so
                 # the root span is handed over explicitly
                 with obs.span("live.site", parent=root_ctx, s=s):
-                    if coord is None:
-                        _site_body(s, fabric)
-                    else:
-                        _site_body_rec(s, fabric)
+                    _site_body(s, fabric)
             except Exception as exc:  # crash must not deadlock the barrier
-                with err_lock:
-                    errors.append(f"site {s} failed: {exc!r}")
+                fail(f"site {s} failed: {exc!r}")
                 barrier.abort()
             finally:
                 tok = watches.pop(s, None)
                 if tok is not None:
                     obs.health().disarm(tok)
-
-        def _site_body(s: int, fabric: MiddlewareFabric) -> None:
-            st = stats[s]
-            subnet1, _, own, ms1 = self._dse.sub1[s]
-            subnet2, bmap2, xbuses, ext, ms2 = self._dse.sub2[s]
-            nbrs = [int(b) for b in dec.neighbors(s)]
-            publish = self._dse.exchange_sets[s]
-
-            # local state, keyed by global bus index
-            vm_loc = {int(b): 1.0 for b in own}
-            va_loc = {int(b): 0.0 for b in own}
-            known_vm: dict[int, float] = {}
-            known_va: dict[int, float] = {}
-            prev2 = None  # previous round's extended solution (warm start)
-            lin0 = None  # frame linearization point (condensed mode)
-
-            # ---- Step 1 ----
-            t0 = time.perf_counter()
-            with obs.span("live.step1", s=s):
-                est1 = (
-                    self._dse._est1[s]
-                    if self.use_cache
-                    else WlsEstimator(subnet1, ms1, solver=self.solver)
-                )
-                z1 = self._dse._step1_z(s, z) if z is not None else None
-                res1 = est1.estimate(tol=tol, z=z1)
-            st.step1_time = time.perf_counter() - t0
-            for i, b in enumerate(own):
-                vm_loc[int(b)] = float(res1.Vm[i])
-                va_loc[int(b)] = float(res1.Va[i])
-
-            try:
-                barrier.wait()
-            except threading.BrokenBarrierError:
-                return
-
-            # ---- Step 2 rounds ----
-            for r in range(rounds):
-                tok = watches.get(s)
-                if tok is not None:
-                    obs.health().beat(tok)
-                degraded_round = False
-                with obs.span("live.exchange", s=s, round=r):
-                    round_t1 = (
-                        None
-                        if self.round_deadline is None
-                        else time.monotonic() + self.round_deadline
-                    )
-                    if self.condense:
-                        # Per-neighbour condensed boundary blocks: each
-                        # neighbour gets only the tie-endpoint buses its
-                        # extended network reads.  Round 0 carries the bus
-                        # ids; later rounds are values-only over the
-                        # receiver's a-priori ordering.
-                        parts = []
-                        for nb in nbrs:
-                            ids = self._dse._nbr_pub[s][nb]
-                            parts.append((f"se{nb}", pack_condensed_update(
-                                s, ids,
-                                np.array([vm_loc[int(b)] for b in ids]),
-                                np.array([va_loc[int(b)] for b in ids]),
-                                values_only=r > 0,
-                            )))
-                    else:
-                        payload = pack_state_update(
-                            publish.astype(np.int64),
-                            np.array([vm_loc[int(b)] for b in publish]),
-                            np.array([va_loc[int(b)] for b in publish]),
-                        )
-                        parts = [(f"se{nb}", payload) for nb in nbrs]
-                    # the whole neighbour burst rides one syscall on the
-                    # fast plane (legacy falls back to per-pipeline sends);
-                    # sending inside the span stamps the frames with this
-                    # trace's context, so the router hop joins the trace
-                    try:
-                        fabric.send_many(f"se{s}", parts)
-                        st.bytes_sent += sum(len(p) for _, p in parts)
-                    except (MiddlewareError, ConnectionError, OSError) as exc:
-                        # this site is cut off from the fabric; keep
-                        # solving on last-known values, flag the round
-                        with err_lock:
-                            errors.append(
-                                f"site {s} round {r}: send failed: {exc!r}"
-                            )
-                        degraded_round = True
-
-                    for _ in nbrs:
-                        timeout = self.recv_timeout
-                        if round_t1 is not None:
-                            remaining = round_t1 - time.monotonic()
-                            if remaining <= 0:
-                                with err_lock:
-                                    errors.append(
-                                        f"site {s} round {r}: "
-                                        "round deadline exceeded"
-                                    )
-                                degraded_round = True
-                                break
-                            timeout = min(timeout, remaining)
-                        try:
-                            raw = fabric.recv(f"se{s}", timeout=timeout)
-                        except TimeoutError:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: "
-                                    "neighbour update timed out"
-                                )
-                            degraded_round = True
-                            continue
-                        except (ClientClosed, MiddlewareError) as exc:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: recv failed: "
-                                    f"{exc!r}"
-                                )
-                            degraded_round = True
-                            break
-                        st.bytes_received += len(raw)
-                        st.messages_received += 1
-                        try:
-                            # views over the wire buffer; values are copied
-                            # into the known_* dicts below, so no aliasing
-                            # escapes
-                            if self.condense:
-                                src_id, _vo, ids, vms, vas = (
-                                    unpack_condensed_update(raw, copy=False)
-                                )
-                                if ids is None:
-                                    # values-only frame: resolve the bus
-                                    # ids from the shared a-priori
-                                    # per-neighbour publication sets
-                                    ids = self._dse._nbr_pub[int(src_id)][s]
-                                    if len(ids) != len(vms):
-                                        raise FrameError(
-                                            "condensed update length "
-                                            "mismatch"
-                                        )
-                            else:
-                                ids, vms, vas = unpack_state_update(
-                                    raw, copy=False
-                                )
-                        except (FrameError, ValueError, KeyError) as exc:
-                            # corrupted in flight; the neighbour's update
-                            # is lost for this round
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: corrupt update: "
-                                    f"{exc!r}"
-                                )
-                            degraded_round = True
-                            continue
-                        for b, vm_b, va_b in zip(ids, vms, vas):
-                            known_vm[int(b)] = float(vm_b)
-                            known_va[int(b)] = float(va_b)
-                if degraded_round:
-                    st.record_degraded(r)
-                    if obs.enabled():
-                        obs.metrics().counter(
-                            "live.degraded_rounds_total"
-                        ).inc()
-                    if obs.health_enabled():
-                        obs.health().frame_degraded(f"se{s}", round=r)
-
-                # pseudo measurements at the external boundary buses we know
-                ext_known = [int(b) for b in ext if int(b) in known_vm]
-                cached_path = self.use_cache and len(ext_known) == len(ext)
-                if cached_path:
-                    # Full neighbour coverage: refill the cached merged
-                    # structure's pseudo values instead of rebuilding.
-                    est2, z_tmpl, rows_vm, rows_va, src, rows_ms2 = (
-                        self._dse._step2_cache[s]
-                    )
-                    z2 = z_tmpl.copy()
-                    if z is not None:
-                        z2[rows_ms2] = self._dse._step2_meas_z(s, z)
-                    z2[rows_vm] = [known_vm[int(b)] for b in src]
-                    z2[rows_va] = [known_va[int(b)] for b in src]
-                else:
-                    from ..dse.pseudo import pseudo_measurements
-
-                    pseudo = pseudo_measurements(
-                        bmap2[np.array(ext_known, dtype=np.int64)]
-                        if ext_known else np.zeros(0, np.int64),
-                        np.array([known_vm[b] for b in ext_known]),
-                        np.array([known_va[b] for b in ext_known]),
-                    )
-                    ms2_round = (
-                        ms2.with_values(self._dse._step2_meas_z(s, z))
-                        if z is not None
-                        else ms2
-                    )
-                    est2 = WlsEstimator(
-                        subnet2, ms2_round.merged_with(pseudo), solver=self.solver
-                    )
-                    z2 = None
-
-                if prev2 is not None:
-                    # Warm start from the previous round's extended solve,
-                    # with the external boundary refreshed from the latest
-                    # neighbour publications — the same schedule as
-                    # DistributedStateEstimator's warm_start path.
-                    x0_vm = prev2.Vm.copy()
-                    x0_va = prev2.Va.copy()
-                    if ext_known:
-                        idx = bmap2[np.array(ext_known, dtype=np.int64)]
-                        x0_vm[idx] = [known_vm[b] for b in ext_known]
-                        x0_va[idx] = [known_va[b] for b in ext_known]
-                else:
-                    x0_vm = np.ones(len(xbuses))
-                    x0_va = np.zeros(len(xbuses))
-                    for i, b in enumerate(xbuses):
-                        b = int(b)
-                        if b in vm_loc:
-                            x0_vm[i], x0_va[i] = vm_loc[b], va_loc[b]
-                        elif b in known_vm:
-                            x0_vm[i], x0_va[i] = known_vm[b], known_va[b]
-                    if self.condense:
-                        # Round 0's start is the frame's Step-1 publication
-                        # over the extended network — the same history-free
-                        # linearization point the in-process DSE condenses
-                        # at, so the operators (and the results) match.
-                        lin0 = (x0_vm.copy(), x0_va.copy())
-
-                kwargs = (
-                    {"lin_point": lin0}
-                    if self.condense and cached_path and lin0 is not None
-                    else {}
-                )
-                t0 = time.perf_counter()
-                with obs.span("live.step2", s=s, round=r):
-                    res2 = est2.estimate(
-                        x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs
-                    )
-                st.step2_times.append(time.perf_counter() - t0)
-                prev2 = res2
-
-                scope = self._dse.exchange_sets[s]
-                local = bmap2[scope]
-                for g, l in zip(scope, local):
-                    vm_loc[int(g)] = float(res2.Vm[l])
-                    va_loc[int(g)] = float(res2.Va[l])
-
-                try:
-                    barrier.wait()
-                except threading.BrokenBarrierError:
-                    return
-
-            with result_lock:
-                for b in own:
-                    Vm[b] = vm_loc[int(b)]
-                    Va[b] = va_loc[int(b)]
-
-        def _make_ckpt(w: _HostedSub, site_idx: int, rnd: int):
-            own_ = self._dse.sub1[w.s][2]
-            own_ids = np.asarray(own_, dtype=np.int64)
-            return SubsystemCheckpoint(
-                subsystem=w.s, site=site_idx, epoch=coord.epoch, round=rnd,
-                own_ids=own_ids,
-                own_vm=np.array([w.vm_loc[int(b)] for b in own_ids]),
-                own_va=np.array([w.va_loc[int(b)] for b in own_ids]),
-                warm_vm=None if w.prev2 is None else np.asarray(w.prev2[0], float),
-                warm_va=None if w.prev2 is None else np.asarray(w.prev2[1], float),
-                lin_vm=None if w.lin0 is None else w.lin0[0],
-                lin_va=None if w.lin0 is None else w.lin0[1],
-            )
-
-        def _site_body_rec(s: int, fabric: MiddlewareFabric) -> None:
-            # Recovery-aware variant of _site_body: a site can host more
-            # than one subsystem after failover, addresses frames by the
-            # coordinator's live subsystem→site binding, and replicates a
-            # checkpoint per hosted subsystem every round.  Numerics per
-            # subsystem are identical to the base path.
-            me = f"se{s}"
-            st = stats[s]
-            subnet1, _, own, ms1 = self._dse.sub1[s]
-
-            w = _HostedSub(s)
-            w.vm_loc = {int(b): 1.0 for b in own}
-            w.va_loc = {int(b): 0.0 for b in own}
-            hosted: dict[int, _HostedSub] = {s: w}
-            nbrs_of = {s: [int(b) for b in dec.neighbors(s)]}
-            known_vm: dict[int, float] = {}
-            known_va: dict[int, float] = {}
-
-            # ---- Step 1 ----
-            t0 = time.perf_counter()
-            with obs.span("live.step1", s=s):
-                est1 = self._dse._est1[s]  # recovery requires use_cache
-                z1 = self._dse._step1_z(s, z) if z is not None else None
-                res1 = est1.estimate(tol=tol, z=z1)
-            st.step1_time = time.perf_counter() - t0
-            for i, b in enumerate(own):
-                w.vm_loc[int(b)] = float(res1.Vm[i])
-                w.va_loc[int(b)] = float(res1.Va[i])
-
-            # Bootstrap replica seed (round -1), handed to the coordinator
-            # before the first barrier: a replica exists before any data
-            # frame can kill a site, and before any ordering race on the
-            # hub — per-round checkpoints ride the fabric from round 0 on.
-            succ = coord.successor(s)
-            if succ is not None:
-                coord.ingest(succ, _make_ckpt(w, s, -1).to_payload())
-
-            try:
-                barrier.wait()
-            except threading.BrokenBarrierError:
-                return
-
-            # ---- Step 2 rounds ----
-            for r in range(rounds):
-                tok = watches.get(s)
-                if tok is not None:
-                    obs.health().beat(tok)
-                for ck in coord.begin_round(me, r):
-                    nw = _HostedSub.from_checkpoint(ck)
-                    hosted[nw.s] = nw
-                    nbrs_of[nw.s] = [int(b) for b in dec.neighbors(nw.s)]
-                    st.promoted_subsystems.append(nw.s)
-                    if obs.health_enabled():
-                        obs.health().site_recovered(
-                            me, subsystem=nw.s, round=r,
-                            checkpoint_round=ck.round,
-                        )
-                # shed subsystems promoted away from us: our lease expired
-                # while we were cut off, and the hub now fences our frames
-                for s_ in [k for k in hosted if not coord.owns(me, k)]:
-                    hosted.pop(s_)
-                if not hosted:
-                    # passive zombie: nothing left to solve; keep the
-                    # barrier cadence so the lockstep schedule holds
-                    try:
-                        barrier.wait()
-                    except threading.BrokenBarrierError:
-                        return
-                    continue
-
-                # Lease beat to every live peer: checkpoints reach only
-                # the ring successor, so a lease riding on them alone
-                # would starve the moment that successor died.
-                hb = heartbeat_payload(s, coord.epoch, r)
-                for peer in names:
-                    if peer == me or coord.is_lost(peer):
-                        continue
-                    try:
-                        fabric.send_checkpoint(me, peer, hb, epoch=coord.epoch)
-                    except (MiddlewareError, ConnectionError, OSError):
-                        pass  # a dead peer's inbox is not our liveness
-
-                degraded_round = False
-                with obs.span("live.exchange", s=s, round=r):
-                    round_t1 = (
-                        None
-                        if self.round_deadline is None
-                        else time.monotonic() + self.round_deadline
-                    )
-                    parts = []
-                    for s_, ws in sorted(hosted.items()):
-                        for nb in nbrs_of[s_]:
-                            dst = coord.site_of(nb)
-                            if self.condense:
-                                ids = self._dse._nbr_pub[s_][nb]
-                                vals = (
-                                    np.array([ws.vm_loc[int(b)] for b in ids]),
-                                    np.array([ws.va_loc[int(b)] for b in ids]),
-                                )
-                            else:
-                                ids = self._dse.exchange_sets[s_]
-                                vals = (
-                                    np.array([ws.vm_loc[int(b)] for b in ids]),
-                                    np.array([ws.va_loc[int(b)] for b in ids]),
-                                )
-                            if dst == me:
-                                # co-hosted neighbour: absorb locally
-                                # (self-pairs are not wired on the fabric)
-                                for b, vm_b, va_b in zip(ids, *vals):
-                                    known_vm[int(b)] = float(vm_b)
-                                    known_va[int(b)] = float(va_b)
-                                continue
-                            if self.condense:
-                                # ids ride every round in recovery mode: a
-                                # frame must stay self-describing when the
-                                # receiving host changes under failover
-                                payload = pack_condensed_update(
-                                    s_, ids, vals[0], vals[1],
-                                    values_only=False,
-                                )
-                            else:
-                                payload = pack_state_update(
-                                    ids.astype(np.int64), vals[0], vals[1]
-                                )
-                            parts.append((dst, payload))
-                    try:
-                        fabric.send_many(me, parts, epoch=coord.epoch)
-                        st.bytes_sent += sum(len(p) for _, p in parts)
-                    except (MiddlewareError, ConnectionError, OSError) as exc:
-                        with err_lock:
-                            errors.append(
-                                f"site {s} round {r}: send failed: {exc!r}"
-                            )
-                        degraded_round = True
-
-                    expected = sum(
-                        1
-                        for s_ in hosted
-                        for nb in nbrs_of[s_]
-                        if coord.site_of(nb) != me
-                    )
-                    for _ in range(expected):
-                        timeout = self.recv_timeout
-                        if round_t1 is not None:
-                            remaining = round_t1 - time.monotonic()
-                            if remaining <= 0:
-                                with err_lock:
-                                    errors.append(
-                                        f"site {s} round {r}: "
-                                        "round deadline exceeded"
-                                    )
-                                degraded_round = True
-                                break
-                            timeout = min(timeout, remaining)
-                        try:
-                            raw = fabric.recv(me, timeout=timeout)
-                        except TimeoutError:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: "
-                                    "neighbour update timed out"
-                                )
-                            degraded_round = True
-                            continue
-                        except (ClientClosed, MiddlewareError) as exc:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: recv failed: "
-                                    f"{exc!r}"
-                                )
-                            degraded_round = True
-                            break
-                        st.bytes_received += len(raw)
-                        st.messages_received += 1
-                        try:
-                            if self.condense:
-                                _src, _vo, ids, vms, vas = (
-                                    unpack_condensed_update(raw, copy=False)
-                                )
-                                if ids is None:
-                                    raise FrameError(
-                                        "values-only condensed frame in "
-                                        "recovery mode"
-                                    )
-                            else:
-                                ids, vms, vas = unpack_state_update(
-                                    raw, copy=False
-                                )
-                        except (FrameError, ValueError, KeyError) as exc:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: corrupt update: "
-                                    f"{exc!r}"
-                                )
-                            degraded_round = True
-                            continue
-                        for b, vm_b, va_b in zip(ids, vms, vas):
-                            known_vm[int(b)] = float(vm_b)
-                            known_va[int(b)] = float(va_b)
-                if degraded_round:
-                    st.record_degraded(r)
-                    if obs.enabled():
-                        obs.metrics().counter(
-                            "live.degraded_rounds_total"
-                        ).inc()
-                    if obs.health_enabled():
-                        obs.health().frame_degraded(me, round=r)
-
-                for s_, ws in sorted(hosted.items()):
-                    subnet2, bmap2, xbuses, ext, ms2 = self._dse.sub2[s_]
-                    ext_known = [int(b) for b in ext if int(b) in known_vm]
-                    cached_path = len(ext_known) == len(ext)
-                    if cached_path:
-                        est2, z_tmpl, rows_vm, rows_va, src, rows_ms2 = (
-                            self._dse._step2_cache[s_]
-                        )
-                        z2 = z_tmpl.copy()
-                        if z is not None:
-                            z2[rows_ms2] = self._dse._step2_meas_z(s_, z)
-                        z2[rows_vm] = [known_vm[int(b)] for b in src]
-                        z2[rows_va] = [known_va[int(b)] for b in src]
-                    else:
-                        from ..dse.pseudo import pseudo_measurements
-
-                        pseudo = pseudo_measurements(
-                            bmap2[np.array(ext_known, dtype=np.int64)]
-                            if ext_known else np.zeros(0, np.int64),
-                            np.array([known_vm[b] for b in ext_known]),
-                            np.array([known_va[b] for b in ext_known]),
-                        )
-                        ms2_round = (
-                            ms2.with_values(self._dse._step2_meas_z(s_, z))
-                            if z is not None
-                            else ms2
-                        )
-                        est2 = WlsEstimator(
-                            subnet2, ms2_round.merged_with(pseudo),
-                            solver=self.solver,
-                        )
-                        z2 = None
-
-                    if ws.prev2 is not None:
-                        x0_vm = ws.prev2[0].copy()
-                        x0_va = ws.prev2[1].copy()
-                        if ext_known:
-                            idx = bmap2[np.array(ext_known, dtype=np.int64)]
-                            x0_vm[idx] = [known_vm[b] for b in ext_known]
-                            x0_va[idx] = [known_va[b] for b in ext_known]
-                    else:
-                        x0_vm = np.ones(len(xbuses))
-                        x0_va = np.zeros(len(xbuses))
-                        for i, b in enumerate(xbuses):
-                            b = int(b)
-                            if b in ws.vm_loc:
-                                x0_vm[i], x0_va[i] = ws.vm_loc[b], ws.va_loc[b]
-                            elif b in known_vm:
-                                x0_vm[i], x0_va[i] = known_vm[b], known_va[b]
-                        if self.condense:
-                            ws.lin0 = (x0_vm.copy(), x0_va.copy())
-
-                    kwargs = (
-                        {"lin_point": ws.lin0}
-                        if self.condense and cached_path and ws.lin0 is not None
-                        else {}
-                    )
-                    t0 = time.perf_counter()
-                    with obs.span("live.step2", s=s_, round=r):
-                        res2 = est2.estimate(
-                            x0=(x0_vm, x0_va), tol=tol, z=z2, **kwargs
-                        )
-                    st.step2_times.append(time.perf_counter() - t0)
-                    ws.prev2 = (res2.Vm, res2.Va)
-
-                    scope = self._dse.exchange_sets[s_]
-                    local = bmap2[scope]
-                    for g, l in zip(scope, local):
-                        ws.vm_loc[int(g)] = float(res2.Vm[l])
-                        ws.va_loc[int(g)] = float(res2.Va[l])
-
-                # ---- checkpoint replication ----
-                if r % recovery.checkpoint_every == 0:
-                    for s_, ws in sorted(hosted.items()):
-                        succ = coord.successor(s_)
-                        if succ is None or succ == me:
-                            continue
-                        pay = _make_ckpt(ws, s, r).to_payload()
-                        try:
-                            fabric.send_checkpoint(
-                                me, succ, pay, epoch=coord.epoch
-                            )
-                        except (MiddlewareError, ConnectionError, OSError) as exc:
-                            with err_lock:
-                                errors.append(
-                                    f"site {s} round {r}: checkpoint send "
-                                    f"failed: {exc!r}"
-                                )
-                            continue
-                        st.checkpoints_sent += 1
-                        st.checkpoint_bytes += len(pay)
-                        if obs.enabled():
-                            m = obs.metrics()
-                            m.counter("recovery.checkpoints_sent_total").inc()
-                            m.counter(
-                                "recovery.checkpoint_bytes_total"
-                            ).inc(len(pay))
-
-                try:
-                    barrier.wait()
-                except threading.BrokenBarrierError:
-                    return
-
-            with result_lock:
-                for s_, ws in hosted.items():
-                    for b in self._dse.sub1[s_][2]:
-                        Vm[b] = ws.vm_loc[int(b)]
-                        Va[b] = ws.va_loc[int(b)]
 
         with MiddlewareFabric(
             names, pairs, use_tcp=self.use_tcp, fast=self.fast

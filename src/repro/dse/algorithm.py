@@ -395,12 +395,14 @@ class DistributedStateEstimator:
         s: int,
         published_vm: np.ndarray,
         published_va: np.ndarray,
-        last2: dict,
+        prev2: tuple[np.ndarray, np.ndarray] | None,
         z_full: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Compact Step-2 task inputs ``(z, x0_vm, x0_va)`` for subsystem
-        ``s`` — the same arrays regardless of which backend executes the
-        solve, which is what pins process-pool results to serial ones."""
+        ``s`` from the published state and its previous extended solution
+        ``prev2`` (``None`` in the first round) — the same arrays whichever
+        backend or live site executes the solve, which is what pins
+        process-pool and live results to serial ones."""
         _, z_tmpl, rows_vm, rows_va, src, rows_ms2 = self._step2_cache[s]
         z = z_tmpl.copy()
         if z_full is not None:
@@ -409,9 +411,8 @@ class DistributedStateEstimator:
         z[rows_va] = published_va[src]
 
         _, bmap2, xbuses, ext, _ = self.sub2[s]
-        if self.warm_start and s in last2:
-            x0_vm, x0_va = last2[s]
-            x0_vm, x0_va = x0_vm.copy(), x0_va.copy()
+        if self.warm_start and prev2 is not None:
+            x0_vm, x0_va = prev2[0].copy(), prev2[1].copy()
             ext_local = bmap2[ext]
             x0_vm[ext_local] = published_vm[ext]
             x0_va[ext_local] = published_va[ext]
@@ -670,7 +671,9 @@ class DistributedStateEstimator:
                     # (z, x0) arrays go into the cached estimators whether the
                     # solve runs inline, on a thread or in a worker process.
                     inputs = [
-                        self._step2_inputs(s, published_vm, published_va, last2, z)
+                        self._step2_inputs(
+                            s, published_vm, published_va, last2.get(s), z
+                        )
                         for s in range(dec.m)
                     ]
 

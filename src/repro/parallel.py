@@ -61,6 +61,9 @@ __all__ = [
     "chunked",
 ]
 
+#: seconds a killed pool waits to reap its terminated workers
+_KILL_JOIN_TIMEOUT = 5.0
+
 #: Executor spec strings accepted by :func:`make_executor`.
 EXECUTOR_SPECS = (
     "None/'serial'",
@@ -541,19 +544,27 @@ class ProcessPoolBackend(SubsystemExecutor):
         return results, pids
 
     def _kill_pool(self) -> None:
-        """Tear the pool down without waiting on its workers: terminate
-        them first (a hung worker never honours a graceful shutdown)."""
+        """Tear the pool down without a graceful shutdown: terminate its
+        workers first (a hung worker never honours one), then reap them
+        with a bounded wait so none outlives the pool."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
             self._installed = set()
         if pool is None:
             return
-        for proc in list(getattr(pool, "_processes", {}).values()):
+        procs = list((getattr(pool, "_processes", None) or {}).values())
+        for proc in procs:
             try:
                 proc.terminate()
             except Exception:  # pragma: no cover - already reaped
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
+        deadline = time.monotonic() + _KILL_JOIN_TIMEOUT
+        for proc in procs:
+            try:
+                proc.join(max(0.0, deadline - time.monotonic()))
+            except ValueError:  # pragma: no cover - closed by the pool
+                pass
 
     def shutdown(self) -> None:
         with self._pool_lock:

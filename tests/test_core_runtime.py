@@ -136,3 +136,43 @@ class TestLiveRuntime:
         assert live.errors == []
         err = live.state_error(pf.Vm, pf.Va)
         assert err["vm_rmse"] < 5e-3
+
+    @pytest.mark.parametrize(
+        "condense,bad_id", [(False, -1), (False, "n_bus"), (True, "n_bus")]
+    )
+    def test_out_of_range_bus_id_is_corrupt(
+        self, live_setup, monkeypatch, condense, bad_id
+    ):
+        """A frame naming a bus outside the grid is rejected on receive: the
+        receiving site records a corrupt update and a degraded round, and
+        its neighbour state is not written through the bogus id."""
+        import threading
+
+        from repro.core import runtime
+
+        dec, ms, _ = live_setup
+        n_bus = dec.net.n_bus
+        bad = n_bus if bad_id == "n_bus" else bad_id
+        name = "pack_condensed_update" if condense else "pack_state_update"
+        real = getattr(runtime, name)
+        sent = []
+
+        def pack_one_bogus(*args, **kw):
+            # site 0's first frame names one bus that does not exist
+            if threading.current_thread().name == "site-0" and not sent:
+                args = list(args)
+                i = 1 if condense else 0  # position of the bus ids
+                args[i] = np.array(args[i], dtype=np.int64)
+                args[i][0] = bad
+                sent.append(bad)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(runtime, name, pack_one_bogus)
+        res = LiveDseRuntime(dec, ms, condense=condense).run(rounds=2)
+        assert sent == [bad]
+        corrupt = [e for e in res.errors if "outside the grid" in e]
+        assert corrupt and all("round 0: corrupt update" in e for e in corrupt)
+        assert res.degraded
+        assert set(res.degraded) <= {int(b) for b in dec.neighbors(0)}
+        assert all(rs == [0] for rs in res.degraded.values())
+        assert np.all(np.isfinite(res.Vm)) and np.all(np.isfinite(res.Va))

@@ -566,6 +566,9 @@ def _run_chaos(dec, ms, cons, dump_dir, *, seed, n_requests=14):
                 "health.slo.trips_total", slo="avail").value
         return router, report, mon, events, rehashed_at_loss, burn_events, slo_trips
     finally:
+        # the pools are caller-owned, so closing a service leaves them up
+        for svc in shards.values():
+            svc.executor.shutdown()
         obs.configure(enabled=False, health=False, reset=True,
                       health_dump_dir=None, slo=[])
 

@@ -7,7 +7,6 @@ worker-side failures must surface in the parent with the original
 traceback text.
 """
 
-import multiprocessing
 import time
 
 import numpy as np
@@ -20,6 +19,7 @@ from repro.parallel import (
     ProcessPoolBackend,
     SerialExecutor,
     ThreadPoolBackend,
+    WorkerCrash,
     WorkerError,
     make_executor,
     worker_context,
@@ -49,10 +49,18 @@ def dse14(net14, pf14):
     return dec, ms
 
 
-def _no_leaked_workers(timeout: float = 5.0) -> bool:
-    """Wait for worker processes to exit (shutdown joins, but be safe)."""
+def _pool_workers(backend) -> list:
+    """The worker processes of ``backend``'s live pool (empty when idle)."""
+    pool = getattr(backend, "_pool", None)
+    return list((getattr(pool, "_processes", None) or {}).values())
+
+
+def _all_exited(workers, timeout: float = 5.0) -> bool:
+    """Wait for the given worker processes to exit (shutdown joins, but be
+    safe).  Only this pool's workers count: children another test left
+    behind are not this backend's leak."""
     deadline = time.monotonic() + timeout
-    while multiprocessing.active_children():
+    while any(w.is_alive() for w in workers):
         if time.monotonic() > deadline:
             return False
         time.sleep(0.05)
@@ -66,6 +74,11 @@ def _square(i):
 def _boom(i):
     if i == 2:
         raise ValueError("worker task exploded")
+    return i
+
+
+def _hang(i):
+    time.sleep(60)
     return i
 
 
@@ -143,9 +156,11 @@ class TestProcessBackendLifecycle:
     def test_shutdown_idempotent(self):
         pool = ProcessPoolBackend(2)
         pool.map(_square, range(4))
+        workers = _pool_workers(pool)
+        assert workers
         pool.shutdown()
         pool.shutdown()  # second call must be a no-op
-        assert _no_leaked_workers()
+        assert _all_exited(workers)
         # the backend is reusable after shutdown (fresh pool)
         assert pool.map(_square, [3]) == [9]
         pool.shutdown()
@@ -153,7 +168,22 @@ class TestProcessBackendLifecycle:
     def test_context_manager_releases_workers(self):
         with ProcessPoolBackend(2) as pool:
             pool.map(_square, range(4))
-        assert _no_leaked_workers()
+            workers = _pool_workers(pool)
+        assert workers and _all_exited(workers)
+
+    def test_killed_pool_reaps_its_workers(self):
+        """A hung task kills the pool; its terminated workers are reaped
+        before the crash surfaces, not left to exit later."""
+        pool = ProcessPoolBackend(1, max_task_retries=0, task_timeout=0.5)
+        try:
+            pool.map(_square, [1])
+            workers = _pool_workers(pool)
+            assert workers
+            with pytest.raises(WorkerCrash):
+                pool.map(_hang, [0])
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            pool.shutdown()
 
     def test_worker_exception_propagates_traceback(self):
         with ProcessPoolBackend(2) as pool:
@@ -280,13 +310,16 @@ class TestScenarioService:
 
     def test_close_idempotent_and_rejects_submits(self, dse14):
         dec, ms = dse14
-        svc = ScenarioService(dec, ms, max_batch=2)
+        # an owned process pool, so close() has workers to release
+        svc = ScenarioService(dec, ms, executor="processes:1", max_batch=2)
         svc.submit_estimation().result(timeout=60)
+        workers = _pool_workers(svc.executor)
+        assert workers
         svc.close()
         svc.close()
         with pytest.raises(RuntimeError, match="closed"):
             svc.submit_estimation()
-        assert _no_leaked_workers()
+        assert _all_exited(workers)
 
     def test_rejects_bad_options(self, dse14):
         dec, ms = dse14
