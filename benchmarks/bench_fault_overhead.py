@@ -51,7 +51,7 @@ def measure_fault_overhead(*, frames: int = 3, repeats: int = 3) -> dict:
     ms = generate_measurements(net, plac, pf, rng=rng)
     z = ms.z.copy()
 
-    live = LiveDseRuntime(dec, ms, fast=True)
+    live = LiveDseRuntime(dec, ms)
     live.run(z=z)  # warm the site caches outside the timed region
 
     idle = FaultInjector(FaultPlan(seed=0))  # no rules: nothing can fire

@@ -14,7 +14,9 @@ measures exactly that regime over real localhost TCP:
 - **batched** — pooled + ``send_many`` so a burst rides one
   scatter-gather syscall;
 - **fabric legacy / fabric fast** — the full data path including the
-  store-and-forward hop: per-pair relay pipelines vs the mux router.
+  store-and-forward hop: the paper's one-way relay (a standalone
+  ``MifPipeline`` into a served, pooled ``MWClient``) vs
+  ``MiddlewareFabric``'s mux router.
 
 ``measure_small_message_throughput`` / ``measure_roundtrip_latency`` /
 ``measure_fabric_throughput`` are importable by ``record_bench.py``; the
@@ -31,6 +33,8 @@ import numpy as np
 from repro.middleware import (
     EndpointRegistry,
     MiddlewareFabric,
+    MifComponent,
+    MifPipeline,
     MWClient,
     pack_state_update,
 )
@@ -143,23 +147,54 @@ def measure_roundtrip_latency(n: int = 400, *, payload: bytes | None = None) -> 
 # ----------------------------------------------------------------------
 # full data path through the store-and-forward hop
 # ----------------------------------------------------------------------
+def _relay_arm(n_msgs: int, payload: bytes) -> tuple[float, int]:
+    """a→b through one one-way relay pipeline (the paper's per-pair
+    MeDICi pipeline) into b's served, pooled client; returns
+    ``(elapsed_s, messages received intact)``."""
+    registry = EndpointRegistry()
+    rx = MWClient("b", registry)
+    rx.serve("tcp://127.0.0.1:0")
+    tx = MWClient("a", registry)
+    pipeline = MifPipeline()
+    comp = MifComponent("a->b")
+    pipeline.add_mif_component(comp)
+    comp.set_in_endpoint("tcp://127.0.0.1:0")
+    comp.set_out_endpoint(registry.resolve("b"))
+    pipeline.start()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(n_msgs):
+            tx.send(comp.in_endpoint, payload)
+        got = sum(rx.recv(timeout=60) == payload for _ in range(n_msgs))
+        return time.perf_counter() - t0, got
+    finally:
+        pipeline.stop()
+        tx.close()
+        rx.close()
+
+
+def _hub_arm(n_msgs: int, payload: bytes) -> tuple[float, int]:
+    """a→b through ``MiddlewareFabric``'s mux router hub."""
+    with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], use_tcp=True) as fab:
+        t0 = time.perf_counter()
+        for _ in range(n_msgs):
+            fab.send("a", "b", payload)
+        got = sum(fab.recv("b", timeout=60) == payload for _ in range(n_msgs))
+        return time.perf_counter() - t0, got
+
+
 def measure_fabric_throughput(n_msgs: int = 1000, *, payload: bytes | None = None) -> dict:
-    """Sustained a→b messages/second through the full fabric data path:
-    legacy per-pair pipelines vs the multiplexed router hub."""
+    """Sustained a→b messages/second through the full data path, over
+    localhost TCP: a per-pair relay pipeline (``legacy``) vs the fabric's
+    multiplexed router hub (``fast``).  ``{mode}_received`` counts the
+    messages that arrived intact."""
     payload = payload if payload is not None else exchange_payload()
     out = {"n_msgs": n_msgs, "payload_bytes": len(payload)}
-    for mode, fast in (("legacy", False), ("fast", True)):
-        with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], use_tcp=True, fast=fast
-        ) as fab:
-            t0 = time.perf_counter()
-            for _ in range(n_msgs):
-                fab.send("a", "b", payload)
-            for _ in range(n_msgs):
-                fab.recv("b", timeout=60)
-            elapsed = time.perf_counter() - t0
+    for mode, arm in (("legacy", _relay_arm), ("fast", _hub_arm)):
+        elapsed, got = arm(n_msgs, payload)
         out[f"{mode}_msgs_per_s"] = n_msgs / elapsed
         out[f"{mode}_time_s"] = elapsed
+        out[f"{mode}_received"] = got
     out["fabric_speedup"] = out["fast_msgs_per_s"] / out["legacy_msgs_per_s"]
     return out
 
@@ -201,7 +236,8 @@ def test_fabric_throughput(benchmark):
     for mode in ("legacy", "fast"):
         print(f"{mode:>8}: {rec[f'{mode}_msgs_per_s']:10.0f} msgs/s")
     print(f"fabric speedup {rec['fabric_speedup']:.1f}x")
-    # both planes must sustain traffic; the mux hub must not be slower
-    # than the per-pair pipelines by more than noise
+    # both paths must deliver everything; the mux hub must not be slower
+    # than a per-pair pipeline by more than noise
+    assert rec["legacy_received"] == rec["fast_received"] == rec["n_msgs"]
     assert rec["fast_msgs_per_s"] > 0.5 * rec["legacy_msgs_per_s"]
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -57,9 +57,9 @@ def measure_recovery_overhead(*, frames: int = 3, repeats: int = 3) -> dict:
     ms = generate_measurements(net, plac, pf, rng=rng)
     z = ms.z.copy()
 
-    live_off = LiveDseRuntime(dec, ms, fast=True)
+    live_off = LiveDseRuntime(dec, ms)
     live_on = LiveDseRuntime(
-        dec, ms, fast=True, recovery=RecoveryConfig(lease_rounds=2)
+        dec, ms, recovery=RecoveryConfig(lease_rounds=2)
     )
     live_off.run(z=z)  # warm the site caches outside the timed region
     live_on.run(z=z)
@@ -109,7 +109,7 @@ def measure_frames_to_recovery(*, lease_rounds: int = 2) -> dict:
 
     def run(plan=None):
         live = LiveDseRuntime(
-            dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
+            dec, ms, recv_timeout=0.5, round_deadline=2.0,
             recovery=RecoveryConfig(lease_rounds=lease_rounds),
         )
         if plan is None:

@@ -75,7 +75,7 @@ def smoke_degraded_live_run() -> None:
 
     def one_run():
         live = LiveDseRuntime(
-            dec, ms, fast=True, recv_timeout=0.3, round_deadline=2.0
+            dec, ms, recv_timeout=0.3, round_deadline=2.0
         )
         with faults.injection(plan) as inj:
             res = live.run(rounds=1)

@@ -1,16 +1,17 @@
-"""Middleware fast-path round-trip smoke (in-process and localhost TCP).
+"""Middleware round-trip smoke (in-process and localhost TCP).
 
 Run with::
 
     python examples/middleware_roundtrip.py
 
-Exercises the PR-3 data plane end to end in a few hundred milliseconds:
+Exercises the middleware end to end in a few hundred milliseconds:
 
 - a pooled ``MWClient`` pair over localhost TCP (persistent connection,
   ``send`` + ``send_many``, event-driven receive);
-- the multiplexed fabric (``MiddlewareFabric(fast=True)``) on both the
-  in-process and the TCP hub, including a packed state-update exchange
-  decoded with the zero-copy ``unpack_state_update``.
+- ``MiddlewareFabric``, whose one data plane is the multiplexed router
+  hub, on both the in-process and the TCP hub, including a packed
+  state-update exchange decoded with the zero-copy
+  ``unpack_state_update``.
 
 Every payload is verified byte-for-byte; the script exits non-zero on any
 mismatch, so ``scripts/verify.sh`` uses it as the middleware smoke test.
@@ -61,7 +62,7 @@ def smoke_fabric(use_tcp: bool, n: int = 100) -> None:
     update = bytes(pack_state_update(ids, vm, va))
 
     with MiddlewareFabric(
-        ["a", "b"], pairs=[("a", "b"), ("b", "a")], use_tcp=use_tcp, fast=True
+        ["a", "b"], pairs=[("a", "b"), ("b", "a")], use_tcp=use_tcp
     ) as fab:
         t0 = time.perf_counter()
         for _ in range(n):
@@ -76,7 +77,7 @@ def smoke_fabric(use_tcp: bool, n: int = 100) -> None:
         (frames, nbytes) = fab.relay_stats()[("a", "b")]
         assert frames == n and nbytes == n * len(update)
         label = "tcp" if use_tcp else "inproc"
-        print(f"fast fabric ({label:>6}): {n} state updates "
+        print(f"mux fabric  ({label:>6}): {n} state updates "
               f"({len(update)} B) in {dt * 1e3:.1f} ms ({n / dt:.0f} msgs/s)")
 
 

@@ -50,7 +50,7 @@ def main() -> None:
 
     def run(plan=None):
         live = LiveDseRuntime(
-            dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
+            dec, ms, recv_timeout=0.5, round_deadline=2.0,
             recovery=RecoveryConfig(lease_rounds=2),
         )
         if plan is None:

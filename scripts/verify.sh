@@ -30,6 +30,17 @@ python examples/serve_scenarios.py --tiny
 echo "== middleware round-trip smoke (inproc + localhost TCP) =="
 python examples/middleware_roundtrip.py
 
+echo "== fabric throughput smoke (relay pipeline + mux hub, every message arrives) =="
+python - <<'PY'
+import sys
+sys.path.insert(0, "benchmarks")
+from bench_middleware_fastpath import measure_fabric_throughput
+rec = measure_fabric_throughput(n_msgs=200)
+for mode in ("legacy", "fast"):
+    assert rec[f"{mode}_received"] == 200, (mode, rec)
+    print(f"{mode:>6}: {rec[f'{mode}_msgs_per_s']:.0f} msgs/s")
+PY
+
 echo "== observability smoke (traces across workers + TCP mux hop) =="
 python examples/observability_demo.py
 

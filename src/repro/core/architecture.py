@@ -3,7 +3,7 @@
 ``ArchitecturePrototype`` owns the pieces of the paper's Figure 1: the
 decomposed power system, the HPC cluster topology, the mapping method, the
 cost models used to replay execution on the simulated testbed, and
-(optionally) a live middleware fabric whose pipelines actually move the
+(optionally) a live middleware fabric that actually moves the
 pseudo-measurement bytes between the estimator sites.
 """
 
@@ -55,17 +55,15 @@ class ArchitecturePrototype:
         seed: int = 0,
         with_fabric: bool = False,
         fabric_tcp: bool = False,
-        fabric_fast: bool = False,
     ) -> "ArchitecturePrototype":
         """Decompose ``net`` and wire the architecture around it.
 
         ``subsystem_sizes`` forces exact subsystem bus counts (e.g. the
         paper's 14,13,... split); otherwise a balanced ``m_subsystems``-way
-        decomposition is computed.  ``with_fabric`` starts live middleware
-        pipelines between neighbouring estimators (in-process queues, or
-        localhost TCP with ``fabric_tcp=True``; the multiplexed fast plane
-        with ``fabric_fast=True``); without it, communication is accounted
-        analytically on the simulated testbed only.
+        decomposition is computed.  ``with_fabric`` starts a live middleware
+        fabric between neighbouring estimators (in-process queues, or
+        localhost TCP with ``fabric_tcp=True``); without it, communication
+        is accounted analytically on the simulated testbed only.
         """
         topology = topology or pnnl_testbed()
         if subsystem_sizes is not None:
@@ -86,9 +84,7 @@ class ArchitecturePrototype:
             for u, v in dec.quotient_edges():
                 pairs.append((f"se{u}", f"se{v}"))
                 pairs.append((f"se{v}", f"se{u}"))
-            fabric = MiddlewareFabric(
-                names, pairs, use_tcp=fabric_tcp, fast=fabric_fast
-            )
+            fabric = MiddlewareFabric(names, pairs, use_tcp=fabric_tcp)
             fabric.start()
 
         return cls(

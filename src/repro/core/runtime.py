@@ -123,7 +123,7 @@ class LiveDseRuntime:
         The decomposition and the system-wide measurement snapshot (each
         site only ever touches its own assigned rows).
     use_tcp:
-        Real localhost TCP pipelines instead of in-process queues.
+        Real localhost TCP instead of in-process queues.
     solver, sensitivity_threshold:
         Passed through to the local estimators.
     recv_timeout:
@@ -139,10 +139,9 @@ class LiveDseRuntime:
         instead of ``rounds x neighbours x recv_timeout``.  ``None``
         (default) keeps the per-message-timeout-only behaviour.
     fast:
-        Use the fabric's multiplexed fast path (single router hub, pooled
-        duplex links, batched neighbour sends) instead of one relay
-        pipeline per pair.  Same bytes on the wire, same barrier schedule
-        — the result stays bit-identical to the in-process DSE either way.
+        Only ``True`` is accepted: the fabric has one data plane (the mux
+        router hub), so the argument selects nothing and is kept for
+        callers that still pass it.
     condense:
         Condensed Step 2 (see
         :class:`~repro.dse.algorithm.DistributedStateEstimator`): each
@@ -160,7 +159,7 @@ class LiveDseRuntime:
         rounds is declared lost, its subsystems are promoted onto the
         successors holding their replicas, and the mux hub fences the
         zombie's epoch-stamped frames so it can never corrupt a
-        post-failover round.  Requires ``fast=True``.
+        post-failover round.
 
     Every site reuses the warm per-subsystem estimators of the in-process
     DSE across rounds and frames; a round that lacks part of its
@@ -182,10 +181,9 @@ class LiveDseRuntime:
         condense: bool = False,
         recovery: RecoveryConfig | None = None,
     ):
-        if recovery is not None and not fast:
+        if not fast:
             raise ValueError(
-                "recovery needs fast=True (checkpoint/epoch frames ride "
-                "the mux hub)"
+                "fast must be True: the fabric has one data plane"
             )
         # Reuse the in-process DSE's subproblem construction and checks
         # (including its per-subsystem estimator caches).
@@ -199,7 +197,6 @@ class LiveDseRuntime:
         self.recv_timeout = recv_timeout
         self.round_deadline = round_deadline
         self.use_tcp = use_tcp
-        self.fast = fast
         self.condense = condense
         self.recovery = recovery
 
@@ -341,7 +338,7 @@ class LiveDseRuntime:
                                 ids, pub_vm[ids], pub_va[ids]
                             )
                         parts.append((dst, payload))
-                # the whole burst rides one syscall on the fast plane;
+                # the whole burst rides one syscall;
                 # sending inside the span stamps the frames with this
                 # trace's context, so the router hop joins the trace
                 try:
@@ -575,9 +572,7 @@ class LiveDseRuntime:
                 if tok is not None:
                     obs.health().disarm(tok)
 
-        with MiddlewareFabric(
-            names, pairs, use_tcp=self.use_tcp, fast=self.fast
-        ) as fabric:
+        with MiddlewareFabric(names, pairs, use_tcp=self.use_tcp) as fabric:
             if coord is not None:
                 # replica sinks + zombie fence must be live before the
                 # first site thread can send a frame
@@ -587,8 +582,7 @@ class LiveDseRuntime:
                     )
                 fabric.set_epoch_fence(coord.fence)
             with obs.span(
-                "live.run", m=dec.m, rounds=rounds,
-                tcp=self.use_tcp, fast=self.fast,
+                "live.run", m=dec.m, rounds=rounds, tcp=self.use_tcp
             ):
                 root_ctx = obs.current_context()
                 wall_t0 = time.perf_counter()

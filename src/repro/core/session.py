@@ -202,7 +202,7 @@ class DseSession:
                 dec, x, map1, self.exchange_sets
             )
 
-        # (5) optional: push real pseudo-measurement bytes through pipelines
+        # (5) optional: push real pseudo-measurement bytes through the fabric
         if arch.fabric is not None:
             with obs.span("session.fabric_exchange"):
                 degraded |= self._exercise_fabric(result, dse)
@@ -259,12 +259,13 @@ class DseSession:
 
     # ------------------------------------------------------------------
     def _exercise_fabric(self, result, dse) -> set[int]:
-        """Move each subsystem's exchange set through the live pipelines.
+        """Move each subsystem's exchange set through the live fabric.
 
-        Under ``condense`` the payloads are the compact per-neighbour
-        condensed frames (matching what the DSE's byte accounting
-        charges); otherwise each subsystem's full exchange set rides a
-        legacy state-update frame to every neighbour.
+        The frames are the ones the live sites send: under ``condense``
+        the compact per-neighbour condensed frames (matching what the
+        DSE's byte accounting charges); otherwise each subsystem's full
+        exchange set, as internal bus indices, rides a plain state-update
+        frame to every neighbour.
 
         Fault-tolerant: a site whose sends fail is cut off from the fabric
         and marked degraded; a site that cannot collect its full neighbour
@@ -277,9 +278,7 @@ class DseSession:
         degraded: set[int] = set()
         for s in range(dec.m):
             pub = self.exchange_sets[s]
-            payload = pack_state_update(
-                dec.net.bus_ids[pub], result.Vm[pub], result.Va[pub]
-            )
+            payload = pack_state_update(pub, result.Vm[pub], result.Va[pub])
             for nb in dec.neighbors(s):
                 if self.condense:
                     ids = dse._nbr_pub[s][int(nb)]

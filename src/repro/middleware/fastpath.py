@@ -1,13 +1,14 @@
-"""Multiplexed fast-path data plane: one router hop, pooled duplex links.
+"""Multiplexed data plane: one router hop, pooled duplex links.
 
-The legacy data plane dials a fresh TCP connection per message and runs one
-relay pipeline per (src, dst) pair.  The fast path replaces that with a
-single **mux router**: every site keeps exactly one long-lived duplex
-connection to the hub, frames carry ``(src, dst)`` ids in a compact binary
-header (:data:`~repro.middleware.message.MUX_HEADER`), and the hub forwards
-a frame to the destination's connection without re-dialing — store-and-
-forward routing with per-pair statistics, like the per-pair pipelines, but
-over ``m`` sockets instead of ``m²`` dials.
+The paper's MeDICi plane runs one relay pipeline per (src, dst) pair
+(:class:`~repro.middleware.pipeline.MifPipeline`), and a connect-per-
+message client dials for every send.  ``MiddlewareFabric`` instead
+routes through a single **mux router**: every site keeps exactly one
+long-lived duplex connection to the hub, frames carry ``(src, dst)`` ids
+in a compact binary header (:data:`~repro.middleware.message.MUX_HEADER`),
+and the hub forwards a frame to the destination's connection without
+re-dialing — store-and-forward routing with per-pair statistics, like
+the per-pair pipelines, but over ``m`` sockets instead of ``m²`` dials.
 
 Two interchangeable hubs:
 
@@ -565,6 +566,12 @@ class InprocMuxRouter:
                     continue
             else:
                 copies = (payload,)
+            # counted before the hand-off, so a receiver that has drained
+            # a frame already sees it in relay statistics
+            with self._stats_lock:
+                rec = self._stats.setdefault((src, dst), [0, 0])
+                rec[0] += 1
+                rec[1] += nbytes
             hop = _hop_span(flags, payload, src, dst)
             delivered = []
             for p in copies:
@@ -589,10 +596,6 @@ class InprocMuxRouter:
                 except Exception:  # noqa: BLE001 - a sink must not kill the hub
                     if not is_ckpt:
                         raise
-            with self._stats_lock:
-                rec = self._stats.setdefault((src, dst), [0, 0])
-                rec[0] += 1
-                rec[1] += nbytes
             if obs.enabled():
                 m = obs.metrics()
                 m.counter("mux.frames_forwarded_total").inc()

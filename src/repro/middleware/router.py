@@ -1,20 +1,14 @@
-"""Middleware fabric: pipelines wiring a set of estimators together.
+"""Middleware fabric: the estimator sites' data plane.
 
-``MiddlewareFabric`` builds the MeDICi pipelines for a set of neighbour
-pairs: one one-way pipeline per direction (as in the paper, "each MeDICi
-pipeline is responsible for a one-way communication between two state
-estimators"), plus the per-site clients and the shared name registry.
-
-Two interchangeable data planes sit behind the same ``send``/``recv`` API:
-
-- the **legacy plane** (``fast=False``) — one relay pipeline per directed
-  pair, clients dialling each pipeline's inbound URL (pooled connections
-  since the fast-path rework, so a pair still costs one dial total);
-- the **fast plane** (``fast=True``) — a single mux router hub
-  (:mod:`repro.middleware.fastpath`): every site keeps exactly one duplex
-  connection to the hub and frames carry (src, dst) ids in a compact
-  binary header, so the hub forwards without re-dialing and a site's
-  whole neighbour burst can ride one syscall via :meth:`send_many`.
+In the paper "each MeDICi pipeline is responsible for a one-way
+communication between two state estimators"; that per-pair relay is
+:class:`~repro.middleware.pipeline.MifPipeline` (measured directly by the
+Table III benchmark).  ``MiddlewareFabric`` routes the same set of
+directed (src, dst) pairs through one mux router hub
+(:mod:`repro.middleware.fastpath`): every site keeps exactly one duplex
+connection to the hub, frames carry (src, dst) ids in a compact binary
+header, so the hub forwards without re-dialing and a site's whole
+neighbour burst can ride one syscall via :meth:`MiddlewareFabric.send_many`.
 """
 
 from __future__ import annotations
@@ -31,8 +25,6 @@ from .message import (
     attach_epoch,
     attach_trace_context,
 )
-from .pipeline import MifComponent, MifPipeline
-from .transports import InprocTransport
 
 __all__ = ["MiddlewareFabric"]
 
@@ -49,9 +41,6 @@ class MiddlewareFabric:
         pairs.
     use_tcp:
         Real localhost TCP when True; in-process queues otherwise.
-    fast:
-        Use the multiplexed single-hub data plane instead of one relay
-        pipeline per pair.  Same delivery and statistics semantics.
     """
 
     def __init__(
@@ -60,19 +49,13 @@ class MiddlewareFabric:
         pairs: list[tuple[str, str]] | None = None,
         *,
         use_tcp: bool = False,
-        fast: bool = False,
     ):
         if len(set(names)) != len(names):
             raise ValueError("duplicate estimator names")
         self.names = list(names)
-        self.registry = EndpointRegistry()
-        self.inproc = None if use_tcp else InprocTransport()
         self.use_tcp = use_tcp
-        self.fast = fast
         self.clients: dict[str, MWClient] = {}
-        self.pipelines: dict[tuple[str, str], MifPipeline] = {}
-        self.inbound: dict[tuple[str, str], str] = {}
-        self._hub: MuxRouter | InprocMuxRouter | None = None
+        self._hub = MuxRouter() if use_tcp else InprocMuxRouter()
         self._links: dict[str, object] = {}
         self._ids = {name: i for i, name in enumerate(self.names)}
 
@@ -88,57 +71,25 @@ class MiddlewareFabric:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Bind every client endpoint and start the data plane."""
+        """Start the hub and attach one duplex link per site."""
         if self._started:
             raise RuntimeError("fabric already started")
-        if self.fast:
-            self._start_fast()
-        else:
-            self._start_legacy()
-        self._started = True
-
-    def _start_legacy(self) -> None:
+        self._hub.start()
         for name in self.names:
-            client = MWClient(name, self.registry, inproc=self.inproc)
-            if self.use_tcp:
-                client.serve("tcp://127.0.0.1:0")
-            else:
-                client.serve(f"inproc://site-{name}")
+            # the client is the site's receive buffer and byte counter;
+            # inbound frames land through the same accounting path as a
+            # served endpoint
+            client = MWClient(name, EndpointRegistry())
             self.clients[name] = client
-
-        for a, b in self.pairs:
-            pipeline = MifPipeline(inproc=self.inproc)
-            comp = MifComponent(name=f"{a}->{b}")
-            pipeline.add_mif_component(comp)
-            if self.use_tcp:
-                comp.set_in_endpoint("tcp://127.0.0.1:0")
-            else:
-                comp.set_in_endpoint(f"inproc://pipe-{a}-{b}")
-            comp.set_out_endpoint(self.registry.resolve(b))
-            pipeline.start()
-            self.pipelines[(a, b)] = pipeline
-            self.inbound[(a, b)] = comp.in_endpoint
-
-    def _start_fast(self) -> None:
-        self._hub = MuxRouter() if self.use_tcp else InprocMuxRouter()
-        hub_url = self._hub.start()
-        for name in self.names:
-            client = MWClient(name, self.registry, inproc=self.inproc)
-            self.clients[name] = client
-            self.registry.register(name, hub_url)
-            # one duplex link per site; inbound frames land in the client's
-            # buffer through the same accounting path as a served endpoint
             self._links[name] = self._hub.attach(
                 self._ids[name], client._deliver
             )
+        self._started = True
 
     def stop(self) -> None:
-        for pipeline in self.pipelines.values():
-            pipeline.stop()
         for link in self._links.values():
             link.close()
-        if self._hub is not None:
-            self._hub.stop()
+        self._hub.stop()
         for client in self.clients.values():
             client.close()
         self._started = False
@@ -155,66 +106,44 @@ class MiddlewareFabric:
         if (src, dst) not in self._pair_set:
             raise KeyError(f"no pipeline for {src} -> {dst}")
 
-    @staticmethod
-    def _trace_wrap(payload):
-        """Attach the calling thread's span context to a fast-plane payload
-        (wire-level context propagation); no-op outside sampled spans."""
-        ctx = obs.current_context()
-        if ctx is None or not ctx.sampled:
-            return payload, 0
-        return attach_trace_context(payload, ctx)
-
     def send(self, src: str, dst: str, payload: bytes) -> None:
         """Send through the (src → dst) data plane — estimator → router
         hop → destination buffer."""
-        if self.fast:
-            self._check_pair(src, dst)
-            nbytes = len(payload)
-            payload, flags = self._trace_wrap(payload)
-            self._links[src].send(self._ids[dst], payload, flags=flags)
-            self.clients[src].bytes_sent += nbytes
-            return
-        try:
-            inbound = self.inbound[(src, dst)]
-        except KeyError as exc:
-            raise KeyError(f"no pipeline for {src} -> {dst}") from exc
-        self.clients[src].send(inbound, payload)
+        self.send_many(src, [(dst, payload)])
 
     def send_many(self, src: str, frames, *, epoch: int | None = None) -> None:
-        """Send a burst of ``(dst, payload)`` frames from one site; on the
-        fast plane they all ride one scatter-gather syscall.
+        """Send a burst of ``(dst, payload)`` frames from one site; they
+        all ride one scatter-gather syscall.
 
-        ``epoch`` (fast plane only) stamps every frame with the cluster
-        epoch so the hub's fence can reject a zombie sender's frames
-        after a failover (see :meth:`set_epoch_fence`).
+        ``epoch`` stamps every frame with the cluster epoch so the hub's
+        fence can reject a zombie sender's frames after a failover (see
+        :meth:`set_epoch_fence`).
         """
         frames = list(frames)
         if not frames:
             return
-        if self.fast:
-            for dst, _ in frames:
-                self._check_pair(src, dst)
-            nbytes = sum(len(p) for _, p in frames)
-            flags = 0
-            if epoch is not None:
-                # epoch sits inside the trace context on the wire: attach
-                # it first, trace-wrap after
-                frames = [(dst, attach_epoch(p, epoch)[0]) for dst, p in frames]
-                flags |= FLAG_EPOCH
-            ctx = obs.current_context()
-            if ctx is not None and ctx.sampled:
-                frames = [
-                    (dst, attach_trace_context(p, ctx)[0]) for dst, p in frames
-                ]
-                flags |= FLAG_TRACED
-            self._links[src].send_many(
-                ((self._ids[dst], payload) for dst, payload in frames),
-                flags=flags,
-            )
-            self.clients[src].bytes_sent += nbytes
-            return
-        for dst, payload in frames:
-            self.send(src, dst, payload)
+        for dst, _ in frames:
+            self._check_pair(src, dst)
+        nbytes = sum(len(p) for _, p in frames)
+        flags = 0
+        if epoch is not None:
+            # epoch sits inside the trace context on the wire: attach
+            # it first, trace-wrap after
+            frames = [(dst, attach_epoch(p, epoch)[0]) for dst, p in frames]
+            flags |= FLAG_EPOCH
+        # the calling thread's span context rides the wire (context
+        # propagation); no-op outside sampled spans
+        ctx = obs.current_context()
+        if ctx is not None and ctx.sampled:
+            frames = [
+                (dst, attach_trace_context(p, ctx)[0]) for dst, p in frames
+            ]
+            flags |= FLAG_TRACED
+        self._links[src].send_many(
+            ((self._ids[dst], payload) for dst, payload in frames),
+            flags=flags,
+        )
+        self.clients[src].bytes_sent += nbytes
 
     # -- shard-addressed routing ---------------------------------------
     def enable_sharding(
@@ -265,21 +194,13 @@ class MiddlewareFabric:
         ``sink(payload: bytes)`` receives every ``FLAG_TELEMETRY`` frame
         (typically :meth:`repro.obs.aggregate.TelemetryAggregator.ingest`);
         telemetry frames are consumed at the hub and never reach a site's
-        deliver callback.  Fast plane only — the pipeline plane has no
-        hub to aggregate at.
+        deliver callback.
         """
-        if not self.fast or self._hub is None:
-            raise RuntimeError(
-                "telemetry aggregation needs the fast plane "
-                "(MiddlewareFabric(fast=True), started)"
-            )
         self._hub.set_telemetry_sink(sink)
 
     def send_telemetry(self, src: str, payload: bytes) -> None:
         """Ship one packed telemetry frame from site ``src`` to the hub
         sink (see :func:`repro.middleware.message.pack_telemetry`)."""
-        if not self.fast:
-            raise RuntimeError("telemetry frames ride the fast plane only")
         # dst 0 is nominal — the hub consumes the frame before routing
         self._links[src].send(0, payload, flags=FLAG_TELEMETRY)
         if obs.enabled():
@@ -289,12 +210,7 @@ class MiddlewareFabric:
     def set_checkpoint_sink(self, name: str, sink) -> None:
         """Divert ``FLAG_CHECKPOINT`` frames addressed to site ``name``
         into ``sink(payload)`` instead of its ordinary receive queue (the
-        recovery replica plane).  Fast plane only."""
-        if not self.fast or self._hub is None:
-            raise RuntimeError(
-                "checkpoint frames ride the fast plane "
-                "(MiddlewareFabric(fast=True), started)"
-            )
+        recovery replica plane).  Call after :meth:`start`."""
         link = self._links[name]
         if hasattr(link, "checkpoint_sink"):
             # TCP: the frame is forwarded by the hub and diverted at the
@@ -309,8 +225,6 @@ class MiddlewareFabric:
     ) -> None:
         """Replicate one checkpoint payload from ``src`` to ``dst``'s
         checkpoint sink, stamped with the cluster ``epoch``."""
-        if not self.fast:
-            raise RuntimeError("checkpoint frames ride the fast plane only")
         self._check_pair(src, dst)
         nbytes = len(payload)
         payload, _ = attach_epoch(payload, epoch)
@@ -323,13 +237,7 @@ class MiddlewareFabric:
 
     def set_epoch_fence(self, fence) -> None:
         """Install ``fence(src_id, epoch) -> bool`` at the mux hub; frames
-        stamped with a fenced (stale) epoch are dropped before routing.
-        Fast plane only."""
-        if not self.fast or self._hub is None:
-            raise RuntimeError(
-                "epoch fencing needs the fast plane "
-                "(MiddlewareFabric(fast=True), started)"
-            )
+        stamped with a fenced (stale) epoch are dropped before routing."""
         self._hub.set_epoch_fence(fence)
 
     def site_id(self, name: str) -> int:
@@ -343,15 +251,8 @@ class MiddlewareFabric:
 
     def relay_stats(self) -> dict[tuple[str, str], tuple[int, int]]:
         """(frames, bytes) relayed per directed pair."""
-        if self.fast:
-            by_id = self._hub.stats() if self._hub is not None else {}
-            rev = {i: name for name, i in self._ids.items()}
-            out = {pair: (0, 0) for pair in self.pairs}
-            for (src_id, dst_id), rec in by_id.items():
-                out[(rev[src_id], rev[dst_id])] = rec
-            return out
-        out = {}
-        for key, pipeline in self.pipelines.items():
-            comp = pipeline.components[0]
-            out[key] = (comp.frames_relayed, comp.bytes_relayed)
+        rev = {i: name for name, i in self._ids.items()}
+        out = {pair: (0, 0) for pair in self.pairs}
+        for (src_id, dst_id), rec in self._hub.stats().items():
+            out[(rev[src_id], rev[dst_id])] = rec
         return out

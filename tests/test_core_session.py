@@ -9,6 +9,7 @@ from repro.dse import dse_pmu_placement
 from repro.grid import run_ac_power_flow
 from repro.grid.cases import case118, synthetic_grid
 from repro.measurements import ScadaSystem, full_placement, generate_measurements
+from repro.middleware import unpack_state_update
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,35 @@ class TestSession:
             # every subsystem published to every neighbour
             expect = sum(len(arch.dec.neighbors(s)) for s in range(4))
             assert relayed == expect
+
+    def test_fabric_frames_carry_bus_indices(self, net118):
+        """The fabric replay packs internal bus indices, the format the
+        live sites use: the drained frames name each subsystem's
+        exchange set once per neighbour."""
+        pf = run_ac_power_flow(net118)
+        with ArchitecturePrototype.assemble(
+            net118, m_subsystems=4, seed=0, with_fabric=True
+        ) as arch:
+            rng = np.random.default_rng(2)
+            plac = full_placement(net118).merged_with(dse_pmu_placement(arch.dec))
+            ms = generate_measurements(net118, plac, pf, rng=rng)
+            session = DseSession(arch)
+            drained = []
+            recv = arch.fabric.recv
+
+            def spy(name, **kw):
+                raw = recv(name, **kw)
+                drained.append(unpack_state_update(raw)[0].tolist())
+                return raw
+
+            arch.fabric.recv = spy
+            session.process_frame(ms)
+            expect = [
+                session.exchange_sets[s].tolist()
+                for s in range(arch.dec.m)
+                for _ in arch.dec.neighbors(s)
+            ]
+        assert sorted(drained) == sorted(expect)
 
     def test_centralized_sim_time(self, arch118, frame118):
         _, ms = frame118

@@ -15,7 +15,13 @@ from repro.measurements import (
     generate_measurements,
     inject_bad_data,
 )
-from repro.middleware import MiddlewareFabric
+from repro.middleware import (
+    EndpointRegistry,
+    InprocTransport,
+    MifComponent,
+    MifPipeline,
+    MWClient,
+)
 from repro.tools.contingency import main as contingency_main
 
 
@@ -102,18 +108,32 @@ class TestContingencyCli:
 
 class TestPipelineQoS:
     def test_latency_stats_populated(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
+        # one one-way a -> b relay pipeline into b's served client
+        t = InprocTransport()
+        registry = EndpointRegistry()
+        rx = MWClient("b", registry, inproc=t)
+        rx.serve("inproc://site-b")
+        tx = MWClient("a", registry, inproc=t)
+        pipeline = MifPipeline(inproc=t)
+        comp = MifComponent("a->b")
+        pipeline.add_mif_component(comp)
+        comp.set_in_endpoint("inproc://pipe-a-b")
+        comp.set_out_endpoint(registry.resolve("b"))
+        pipeline.start()
+        try:
             for _ in range(5):
-                fab.send("a", "b", b"payload")
-                fab.recv("b", timeout=2)
+                tx.send(comp.in_endpoint, b"payload")
+                rx.recv(timeout=2)
             time.sleep(0.05)
-            stats = fab.pipelines[("a", "b")].components[0].latency_stats()
+            stats = comp.latency_stats()
+        finally:
+            pipeline.stop()
+            tx.close()
+            rx.close()
         assert stats["count"] == 5
         assert 0 < stats["mean"] < 1.0
         assert stats["p50"] <= stats["p95"] <= stats["max"]
 
     def test_empty_stats(self):
-        from repro.middleware import MifComponent
-
         stats = MifComponent("idle").latency_stats()
         assert stats["count"] == 0

@@ -382,7 +382,7 @@ class TestMuxFabric:
     def test_roundtrip_and_stats(self, use_tcp):
         pairs = [("a", "b"), ("b", "a"), ("a", "c")]
         with MiddlewareFabric(
-            ["a", "b", "c"], pairs=pairs, use_tcp=use_tcp, fast=True
+            ["a", "b", "c"], pairs=pairs, use_tcp=use_tcp
         ) as fab:
             fab.send("a", "b", b"hello")
             assert bytes(fab.recv("b", timeout=2)) == b"hello"
@@ -403,14 +403,14 @@ class TestMuxFabric:
             assert stats[("b", "a")] == (0, 0)
 
     def test_unknown_pair_rejected(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], fast=True) as fab:
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
             with pytest.raises(KeyError, match="no pipeline"):
                 fab.send("b", "a", b"x")
             with pytest.raises(KeyError, match="no pipeline"):
                 fab.send_many("b", [("a", b"x")])
 
     def test_state_update_through_fast_fabric(self):
-        with MiddlewareFabric(["s0", "s1"], pairs=[("s0", "s1")], fast=True) as fab:
+        with MiddlewareFabric(["s0", "s1"], pairs=[("s0", "s1")]) as fab:
             payload = pack_state_update(
                 np.array([7, 8]), np.array([1.01, 0.99]), np.array([0.05, -0.02])
             )
@@ -437,7 +437,7 @@ class TestMuxFabric:
             router.stop()
 
     def test_bytes_accounting(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")], fast=True) as fab:
+        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
             fab.send("a", "b", b"12345")
             fab.recv("b", timeout=2)
             assert fab.clients["a"].bytes_sent == 5

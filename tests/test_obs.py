@@ -281,7 +281,7 @@ class TestDseTraces:
 class TestWirePropagation:
     def test_mux_forward_spans_join_live_trace(self, dse14, obs_on):
         dec, ms = dse14
-        live = LiveDseRuntime(dec, ms, use_tcp=True, fast=True).run()
+        live = LiveDseRuntime(dec, ms, use_tcp=True).run()
         assert live.errors == []
         spans, by_name = _frame_tree(obs.tracer())
         (root,) = by_name["live.run"]
@@ -299,7 +299,7 @@ class TestWirePropagation:
     def test_live_results_unchanged_by_tracing(self, dse14, obs_on):
         dec, ms = dse14
         ref = DistributedStateEstimator(dec, ms).run()
-        live = LiveDseRuntime(dec, ms, use_tcp=True, fast=True).run()
+        live = LiveDseRuntime(dec, ms, use_tcp=True).run()
         assert np.array_equal(live.Vm, ref.Vm)
         assert np.array_equal(live.Va, ref.Va)
 

@@ -249,7 +249,7 @@ class TestCheckpointPlane:
     def test_checkpoint_diverted_to_sink(self, use_tcp):
         got = []
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp, fast=True
+            ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp
         ) as fab:
             fab.set_checkpoint_sink("b", got.append)
             fab.send_checkpoint("a", "b", b"replica-bytes", epoch=3)
@@ -263,16 +263,9 @@ class TestCheckpointPlane:
             with pytest.raises(TimeoutError):
                 fab.recv("b", timeout=0.1)
 
-    def test_checkpoint_needs_fast_plane(self):
-        with MiddlewareFabric(["a", "b"], pairs=[("a", "b")]) as fab:
-            with pytest.raises(RuntimeError, match="fast plane"):
-                fab.send_checkpoint("a", "b", b"x")
-            with pytest.raises(RuntimeError, match="fast plane"):
-                fab.set_checkpoint_sink("b", lambda p: None)
-
     def test_sink_exception_does_not_kill_plane(self):
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b"), ("b", "a")], fast=True
+            ["a", "b"], pairs=[("a", "b"), ("b", "a")]
         ) as fab:
             fab.set_checkpoint_sink("b", lambda p: 1 / 0)
             fab.send_checkpoint("a", "b", b"boom")
@@ -284,7 +277,7 @@ class TestEpochFence:
     @pytest.mark.parametrize("use_tcp", [False, True])
     def test_fenced_frames_dropped_at_hub(self, use_tcp):
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp, fast=True
+            ["a", "b"], pairs=[("a", "b")], use_tcp=use_tcp
         ) as fab:
             a_id = fab.site_id("a")
             fab.set_epoch_fence(lambda src, epoch: not (
@@ -301,7 +294,7 @@ class TestEpochFence:
 
     def test_unstamped_frames_pass_unfenced(self):
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], fast=True
+            ["a", "b"], pairs=[("a", "b")]
         ) as fab:
             fab.set_epoch_fence(lambda src, epoch: False)  # rejects all
             fab.send("a", "b", b"legacy frame")  # no FLAG_EPOCH
@@ -309,7 +302,7 @@ class TestEpochFence:
 
     def test_fence_exception_fails_open(self):
         with MiddlewareFabric(
-            ["a", "b"], pairs=[("a", "b")], fast=True
+            ["a", "b"], pairs=[("a", "b")]
         ) as fab:
             def broken(src, epoch):
                 raise RuntimeError("fence bug")
@@ -517,16 +510,21 @@ KILL_SE1 = FaultPlan(seed=2026).add(
 
 def _live(dec, ms, *, recovery=None, condense=False, rounds=8):
     return LiveDseRuntime(
-        dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
+        dec, ms, recv_timeout=0.5, round_deadline=2.0,
         condense=condense, recovery=recovery,
     ).run(rounds=rounds)
 
 
 class TestLiveRecovery:
     def test_recovery_needs_fast_and_cache(self, live_setup):
+        """The fabric has one data plane: ``fast`` can no longer turn it
+        off, with or without recovery."""
         dec, ms = live_setup
-        with pytest.raises(ValueError, match="recovery needs"):
-            LiveDseRuntime(dec, ms, fast=False, recovery=RecoveryConfig())
+        for off in (False, 0):
+            with pytest.raises(ValueError, match="one data plane"):
+                LiveDseRuntime(dec, ms, fast=off)
+            with pytest.raises(ValueError, match="one data plane"):
+                LiveDseRuntime(dec, ms, fast=off, recovery=RecoveryConfig())
 
     def test_clean_run_is_bitwise_inert(self, live_setup):
         dec, ms = live_setup
@@ -612,7 +610,7 @@ class TestLiveRecovery:
             "mux.forward", "drop", key=(0, 1), count=1
         )
         with ArchitecturePrototype.assemble(
-            net, m_subsystems=3, seed=0, with_fabric=True, fabric_fast=True
+            net, m_subsystems=3, seed=0, with_fabric=True
         ) as arch:
             session = DseSession(
                 arch, degrade_on_failure=True, fabric_timeout=0.3
@@ -668,7 +666,7 @@ class TestIeee118ChaosAcceptance:
 
         def run(plan=None):
             live = LiveDseRuntime(
-                dec, ms, fast=True, recv_timeout=0.5, round_deadline=2.0,
+                dec, ms, recv_timeout=0.5, round_deadline=2.0,
                 recovery=RecoveryConfig(lease_rounds=2),
             )
             if plan is None:
